@@ -1608,6 +1608,7 @@ impl ShardedEngine {
                 ("doorbells", q.doorbells),
                 ("sw_fixups", q.sw_fixups),
                 ("stalls", q.stalls),
+                ("oversize", q.oversize),
                 ("worker.forwarded", t.forwarded),
                 ("worker.rewritten", t.rewritten),
                 ("worker.dropped", t.dropped),

@@ -19,6 +19,7 @@ use opendesc_ir::semantics::{names, SemanticRegistry};
 use opendesc_ir::txpath::{enumerate_tx_layouts, DescriptorLayout};
 use opendesc_ir::{Assignment, SemanticId};
 use opendesc_nicsim::nic::{NicError, SimNic};
+use opendesc_nicsim::BufId;
 use opendesc_p4::typecheck::parse_and_check;
 use opendesc_softnic::fixup;
 use std::collections::BTreeSet;
@@ -507,17 +508,22 @@ pub struct TxQueueStats {
     pub sw_fixups: u64,
     /// Submits that could not place every frame (ring back-pressure).
     pub stalls: u64,
+    /// Frames refused unposted because they outgrew the queue's DMA
+    /// slot (the batch's `max_frame` exceeds the queue's).
+    pub oversize: u64,
 }
 
 /// The batched, allocation-free transmit path. `attach` pre-allocates
-/// one DMA buffer per ring entry; `submit` then reuses them round-robin,
-/// reclaiming lazily from the NIC's consumed count — no completion
-/// queue walk, no locks, no per-send allocation. The doorbell rings
-/// once per batch.
+/// one DMA buffer per ring entry and resolves its host-memory handle
+/// once; `submit` then reuses them round-robin, writing frames by
+/// handle, reclaiming lazily from the NIC's consumed count — no address
+/// search, no completion queue walk, no locks, no per-send allocation.
+/// The doorbell rings once per batch.
 pub struct TxQueue {
     plan: Arc<CompiledTxPlan>,
-    /// Pre-allocated DMA slots, one per ring entry.
-    slots: Vec<u64>,
+    /// Pre-allocated DMA slots, one per ring entry: the address the
+    /// descriptor carries and the handle the host writes through.
+    slots: Vec<(u64, BufId)>,
     /// Frames submitted since attach.
     submitted: u64,
     /// NIC consumed-count at attach (the NIC may be shared with other
@@ -537,7 +543,11 @@ impl TxQueue {
         }
         let zero = vec![0u8; max_frame + 4];
         let slots = (0..nic.tx_ring.capacity())
-            .map(|_| nic.host_mem.alloc(&zero))
+            .map(|_| {
+                let addr = nic.host_mem.alloc(&zero);
+                let id = nic.host_mem.handle(addr).expect("a fresh buffer resolves");
+                (addr, id)
+            })
             .collect();
         let desc_scratch = vec![0u8; plan.tx.writer.desc_bytes as usize];
         TxQueue {
@@ -576,9 +586,11 @@ impl TxQueue {
     }
 
     /// Submit as many frames from the batch as the ring can take right
-    /// now; returns the count placed. Software fix-ups run in the
-    /// batch's arena slots (in place), the deparse bytecode fills the
-    /// descriptor scratch, and the doorbell rings once at the end.
+    /// now; returns how many batch frames it used up: those placed plus
+    /// any refused (counted in [`TxQueueStats::oversize`]) because they
+    /// outgrew the queue's DMA slot. Software fix-ups run in the batch's
+    /// arena slots (in place), the deparse bytecode fills the descriptor
+    /// scratch, and the doorbell rings once at the end.
     pub fn submit(&mut self, nic: &mut SimNic, batch: &mut TxBatch) -> Result<usize, NicError> {
         self.submit_from(nic, batch, 0)
     }
@@ -594,32 +606,40 @@ impl TxQueue {
         from: usize,
     ) -> Result<usize, NicError> {
         let free = self.slots.len() as u64 - self.in_flight(nic);
-        let pending = batch.len().saturating_sub(from);
-        let n = (pending as u64).min(free) as usize;
         let plan = Arc::clone(&self.plan);
-        for i in from..from + n {
+        let mut placed = 0u64;
+        let mut i = from;
+        while i < batch.len() && placed < free {
             let req = batch.reqs[i];
             let mut len = batch.lens[i] as usize;
+            let mut fixups = 0;
             {
                 let slot = batch.slot_mut(i);
                 if let Some(tci) = req.vlan {
                     if plan.sw_vlan {
                         if let Some(nl) = fixup::insert_vlan_in_slice(slot, len, tci) {
                             len = nl;
-                            self.stats.sw_fixups += 1;
+                            fixups += 1;
                         }
                     }
                 }
                 if req.ip_csum && plan.sw_ip_csum && fixup::fill_ipv4_checksum(&mut slot[..len]) {
-                    self.stats.sw_fixups += 1;
+                    fixups += 1;
                 }
                 if req.l4_csum && plan.sw_l4_csum && fixup::fill_l4_checksum(&mut slot[..len]) {
-                    self.stats.sw_fixups += 1;
+                    fixups += 1;
                 }
             }
             batch.lens[i] = len as u32;
-            let dma = self.slots[(self.submitted % self.slots.len() as u64) as usize];
-            nic.host_mem.write(dma, batch.frame(i));
+            let (dma, buf) = self.slots[(self.submitted % self.slots.len() as u64) as usize];
+            let written = nic.host_mem.write_buf(buf, batch.frame(i));
+            i += 1;
+            if !written {
+                // Posting it would send the slot's stale bytes.
+                self.stats.oversize += 1;
+                continue;
+            }
+            self.stats.sw_fixups += fixups;
             let hints: [u128; txreg::COUNT] = [
                 dma as u128,
                 len as u128,
@@ -633,16 +653,17 @@ impl TxQueue {
             plan.prog.run_deparse(&hints, &mut self.desc_scratch);
             nic.post_tx_deferred(&self.desc_scratch)?;
             self.submitted += 1;
+            placed += 1;
         }
-        if n > 0 {
+        if placed > 0 {
             nic.ring_tx_doorbell();
             self.stats.doorbells += 1;
-            self.stats.frames += n as u64;
+            self.stats.frames += placed;
         }
-        if n < pending {
+        if i < batch.len() {
             self.stats.stalls += 1;
         }
-        Ok(n)
+        Ok(i - from)
     }
 }
 
@@ -1012,6 +1033,38 @@ mod tests {
         assert_eq!(nic.process_tx_drain(), 4);
         assert_eq!(nic.tx_stats.frames, 12);
         assert_eq!(nic.tx_stats.parse_rejects, 0);
+        assert_eq!(nic.tx_stats.bad_buffers, 0);
+    }
+
+    #[test]
+    fn frame_outgrowing_the_queue_slot_is_refused_unposted() {
+        let mut reg = SemanticRegistry::with_builtins();
+        let model = models::qdma_default();
+        let compiled = compile_tx(
+            &Selector::default(),
+            &model.p4_source,
+            "DescParser",
+            &model.name,
+            &Intent::builder("plain").build(),
+            &mut reg,
+        )
+        .unwrap();
+        let mut nic = SimNic::new(model, 8).unwrap();
+        let plan = Arc::new(CompiledTxPlan::new(compiled, &reg));
+        // Queue slots hold 64 + 4 bytes; the batch takes frames of 256.
+        let mut q = TxQueue::attach(&mut nic, plan, 64);
+        let mut batch = TxBatch::new(4, 256);
+        let small = zeroed_frame();
+        let big = testpkt::udp4([10, 7, 0, 1], [10, 7, 0, 2], 50, 60, &[7; 100], None);
+        for f in [&small, &big, &small] {
+            assert!(batch.push(f, TxRequest::default()));
+        }
+        assert_eq!(q.submit(&mut nic, &mut batch).unwrap(), 3, "all used up");
+        assert_eq!(q.stats.oversize, 1);
+        assert_eq!(q.stats.frames, 2, "the refused frame is not counted");
+        assert_eq!(q.stats.stalls, 0);
+        assert_eq!(q.in_flight(&nic), 2, "the refused frame is not posted");
+        assert_eq!(nic.process_tx(), vec![small.clone(), small]);
         assert_eq!(nic.tx_stats.bad_buffers, 0);
     }
 

@@ -23,7 +23,7 @@ pub mod tx;
 
 pub use aggregate::{AsniAggregator, AsniFrame, AsniIter};
 pub use dma::{DmaConfig, DmaMeter};
-pub use hostmem::HostMem;
+pub use hostmem::{BufId, HostMem};
 pub use models::{
     catalog, e1000_legacy, e1000e, ice, ixgbe, mlx5, qdma, qdma_default, NicModel, QdmaLayout,
 };

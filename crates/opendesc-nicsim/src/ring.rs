@@ -33,13 +33,17 @@ impl std::error::Error for RingError {}
 /// A single-producer single-consumer descriptor ring.
 #[derive(Debug, Clone)]
 pub struct DescRing {
-    slots: Vec<Vec<u8>>,
+    /// All slots back to back: slot `i` is
+    /// `data[i * slot_size..(i + 1) * slot_size]`.
+    data: Vec<u8>,
     /// Valid byte length of each slot's current entry.
     lens: Vec<u16>,
     /// Writeback sequence tag of each slot's current entry — the
     /// generation word a real NIC embeds in the descriptor so the host
     /// can tell a fresh writeback from a stale or re-DMAed one.
     seqs: Vec<u64>,
+    /// Tag the most recently consumed entry carried.
+    last_seq: Option<u64>,
     slot_size: usize,
     mask: usize,
     /// Total entries ever produced.
@@ -57,9 +61,10 @@ impl DescRing {
     pub fn new(capacity: usize, slot_size: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         DescRing {
-            slots: vec![vec![0u8; slot_size]; cap],
+            data: vec![0u8; cap * slot_size],
             lens: vec![0; cap],
             seqs: vec![0; cap],
+            last_seq: None,
             slot_size,
             mask: cap - 1,
             prod: 0,
@@ -118,7 +123,8 @@ impl DescRing {
             return Err(RingError::Full);
         }
         let idx = (self.prod as usize) & self.mask;
-        self.slots[idx][..entry.len()].copy_from_slice(entry);
+        let at = idx * self.slot_size;
+        self.data[at..at + entry.len()].copy_from_slice(entry);
         self.lens[idx] = entry.len() as u16;
         self.seqs[idx] = seq;
         self.prod += 1;
@@ -151,7 +157,15 @@ impl DescRing {
         }
         let idx = (self.cons as usize) & self.mask;
         self.cons += 1;
-        Some((&self.slots[idx][..self.lens[idx] as usize], self.seqs[idx]))
+        self.last_seq = Some(self.seqs[idx]);
+        Some((self.entry(idx), self.seqs[idx]))
+    }
+
+    /// The current entry of slot `idx`, at its valid length.
+    #[inline]
+    fn entry(&self, idx: usize) -> &[u8] {
+        let at = idx * self.slot_size;
+        &self.data[at..at + self.lens[idx] as usize]
     }
 
     /// Re-tag every produced-but-unconsumed entry (published or not)
@@ -161,16 +175,31 @@ impl DescRing {
     /// way: records serialized under the outgoing layout cannot be
     /// described by the incoming one, so the device marks them stale
     /// and the host's sequence admission discards them instead of
-    /// misparsing them. Returns the number of entries re-tagged.
+    /// misparsing them.
+    ///
+    /// A replay (an entry carrying the same tag as the one before it in
+    /// ring order) takes its original's new tag, so it still reads as a
+    /// duplicate. A replay of the entry consumed last keeps its tag: the
+    /// host already admitted that tag, and re-tagging only the replay
+    /// would make it look like a fresh slot lost to a stale generation.
+    /// Returns the number of entries re-tagged.
     pub fn retag_pending_stale(&mut self) -> usize {
         let cap = self.capacity() as u64;
-        let mut i = self.cons;
-        while i < self.prod {
+        // (old tag, new tag) of the entry before the current one.
+        let mut prev = self.last_seq.map(|s| (s, s));
+        let mut retagged = 0;
+        for i in self.cons..self.prod {
             let idx = (i as usize) & self.mask;
-            self.seqs[idx] = self.seqs[idx].wrapping_sub(cap);
-            i += 1;
+            let old = self.seqs[idx];
+            let new = match prev {
+                Some((p_old, p_new)) if p_old == old => p_new,
+                _ => old.wrapping_sub(cap),
+            };
+            retagged += (new != old) as usize;
+            self.seqs[idx] = new;
+            prev = Some((old, new));
         }
-        (self.prod - self.cons) as usize
+        retagged
     }
 
     /// Peek at the next published entry without consuming.
@@ -179,7 +208,7 @@ impl DescRing {
             return None;
         }
         let idx = (self.cons as usize) & self.mask;
-        Some(&self.slots[idx][..self.lens[idx] as usize])
+        Some(self.entry(idx))
     }
 
     /// Total produced over the ring's lifetime.
@@ -197,6 +226,7 @@ impl DescRing {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn produce_publish_consume_roundtrip() {
@@ -282,6 +312,22 @@ mod tests {
         assert_eq!(r.peek(), Some(&b"a"[..]));
     }
 
+    #[test]
+    fn retag_keeps_replays_duplicates() {
+        let mut r = DescRing::new(4, 8);
+        r.produce_tagged(b"a", 7).unwrap();
+        r.ring_doorbell();
+        assert_eq!(r.consume_with_seq().unwrap().1, 7);
+        // Replay of the consumed entry, a fresh entry and its replay.
+        r.produce_tagged(b"a", 7).unwrap();
+        r.produce_tagged(b"b", 8).unwrap();
+        r.produce_tagged(b"b", 8).unwrap();
+        r.ring_doorbell();
+        assert_eq!(r.retag_pending_stale(), 2);
+        let tags: Vec<u64> = std::iter::from_fn(|| r.consume_with_seq().map(|(_, s)| s)).collect();
+        assert_eq!(tags, [7, 8 - 4, 8 - 4]);
+    }
+
     proptest! {
         /// FIFO order holds under arbitrary interleavings of produce,
         /// doorbell, and consume.
@@ -308,6 +354,82 @@ mod tests {
                 }
             }
             prop_assert!(next_read <= next_write);
+        }
+
+        /// The flat slot array against a queue of owned entries: mixed
+        /// entry lengths (a short entry in a slot that held a long one
+        /// shows only its own bytes), wraparound, `Full` and
+        /// `EntryTooLarge`, doorbell publication, and sequence tags
+        /// through `retag_pending_stale`.
+        #[test]
+        fn flat_slots_match_a_queue_model(
+            cap in 1usize..9,
+            slot in 1usize..24,
+            ops in proptest::collection::vec((0u8..6, 0usize..28, any::<u8>(), 0u64..4), 1..300),
+        ) {
+            let mut r = DescRing::new(cap, slot);
+            let cap = r.capacity();
+            // (bytes, tag) produced and not yet consumed, in ring order.
+            let mut model: VecDeque<(Vec<u8>, u64)> = VecDeque::new();
+            let mut published = 0usize;
+            let mut last: Option<u64> = None;
+            let mut next_tag = 0u64;
+            for (op, len, byte, dup) in ops {
+                match op {
+                    0 | 1 => {
+                        // Fresh tags, with the occasional replay of the
+                        // last produced tag.
+                        let tag = if dup == 0 { next_tag.wrapping_sub(1) } else { next_tag };
+                        let entry: Vec<u8> = (0..len).map(|k| byte ^ k as u8).collect();
+                        let got = r.produce_tagged(&entry, tag);
+                        if len > slot {
+                            prop_assert_eq!(got, Err(RingError::EntryTooLarge { len, slot }));
+                        } else if model.len() == cap {
+                            prop_assert_eq!(got, Err(RingError::Full));
+                        } else {
+                            prop_assert_eq!(got, Ok(()));
+                            model.push_back((entry, tag));
+                            next_tag = tag.wrapping_add(1);
+                        }
+                    }
+                    2 => {
+                        let newly = r.ring_doorbell() as usize;
+                        prop_assert_eq!(newly, model.len() - published);
+                        published = model.len();
+                    }
+                    3 | 4 => {
+                        prop_assert_eq!(r.peek(), model.front().filter(|_| published > 0).map(|e| &e.0[..]));
+                        let got = r.consume_with_seq().map(|(e, s)| (e.to_vec(), s));
+                        if published == 0 {
+                            prop_assert_eq!(got, None);
+                        } else {
+                            let want = model.pop_front();
+                            published -= 1;
+                            last = want.as_ref().map(|e| e.1);
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                    _ => {
+                        // A replay takes its original's new tag; a
+                        // replay of the entry consumed last keeps it.
+                        let mut prev = last.map(|t| (t, t));
+                        let mut retagged = 0;
+                        for e in model.iter_mut() {
+                            let new = match prev {
+                                Some((o, n)) if o == e.1 => n,
+                                _ => e.1.wrapping_sub(cap as u64),
+                            };
+                            retagged += (new != e.1) as usize;
+                            prev = Some((e.1, new));
+                            e.1 = new;
+                        }
+                        prop_assert_eq!(r.retag_pending_stale(), retagged);
+                    }
+                }
+                prop_assert_eq!(r.len(), model.len());
+                prop_assert_eq!(r.published(), published);
+                prop_assert_eq!(r.is_full(), model.len() == cap);
+            }
         }
     }
 }

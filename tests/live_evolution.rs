@@ -465,3 +465,62 @@ fn watchdog_reset_mid_flip_lands_on_the_new_generation() {
         "no replay admitted across generations"
     );
 }
+
+/// Regression: a replay of the last admitted completion that is still
+/// in the ring when a relayout commits must not wedge the queue. The
+/// commit re-tags pending writebacks as stale; had the replay taken a
+/// stale tag too, sequence admission would count it as a lost fresh
+/// slot, run one tag ahead of the device and discard every later
+/// completion as stale, parking each later relayout behind `Degraded`.
+#[test]
+fn replay_pending_at_commit_does_not_wedge_the_queue() {
+    let cache = PlanCache::default();
+    let mut reg = SemanticRegistry::with_builtins();
+    let start = cache
+        .get_or_compile(&models::qdma_default(), &intent_k(&mut reg, 3), &mut reg)
+        .unwrap();
+    cache.begin_generation();
+    let target = cache
+        .get_or_compile(&models::qdma_default(), &intent_k(&mut reg, 0), &mut reg)
+        .unwrap();
+    let nic = SimNic::new(models::qdma_default(), 64).unwrap();
+    let mut drv = OpenDescDriver::attach_shared(nic, start).unwrap();
+
+    // 1. Fifteen honest frames, then a sixteenth the device replays.
+    for i in 0..15 {
+        drv.deliver(&clean_frame(i)).unwrap();
+    }
+    let replay = FaultConfig::builder()
+        .duplicate_chance(1.0)
+        .seed(env_seed())
+        .build()
+        .unwrap();
+    drv.nic.set_faults(replay).unwrap();
+    drv.deliver(&clean_frame(15)).unwrap();
+    drv.nic.set_faults(FaultConfig::default()).unwrap();
+
+    // 2. One 16-packet poll takes the originals; the replay stays queued.
+    let mut batch = drv.make_batch(16);
+    assert_eq!(drv.poll_batch_into(&mut batch), 16);
+    assert_eq!(drv.in_flight(), 0);
+    assert_eq!(drv.nic.pending_completions(), 1, "the replay is pending");
+
+    // 3. The relayout commits at once: nothing fed is in flight.
+    assert_eq!(
+        drv.request_relayout(Arc::clone(&target)),
+        FlipProgress::Draining
+    );
+    assert_eq!(drv.advance_relayout(0), FlipProgress::Committed(1));
+
+    // 4. Honest traffic is delivered, and health walks back.
+    let mut batch = drv.make_batch(16);
+    let mut delivered = 0;
+    for i in 16..216 {
+        drv.deliver(&clean_frame(i)).unwrap();
+        delivered += drv.poll_batch_into(&mut batch);
+    }
+    assert_eq!(delivered, 200, "honest traffic lost after the commit");
+    let v = drv.validation_stats();
+    assert_eq!((v.duplicates, v.stale), (1, 0), "the replay is a duplicate");
+    assert_eq!(drv.health(), QueueHealth::Healthy);
+}
