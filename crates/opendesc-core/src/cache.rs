@@ -37,9 +37,9 @@ pub struct CompiledRx {
     /// queues sharing the artifact share one spec.
     validator: ValidatorSpec,
     /// The plan's bytecode + verified-eBPF form, lowered once here. An
-    /// `Err` records why the plan cannot run on the VM path (the tree
-    /// interpreter remains as fallback for directly-attached drivers;
-    /// the cache refuses to serve such artifacts at all).
+    /// `Err` records why the plan cannot run: the datapath executes
+    /// only the lowered bytecode, so attach and relayout refuse such an
+    /// artifact and the cache never serves one.
     lowered: Result<LoweredPlan, LowerError>,
 }
 

@@ -24,13 +24,25 @@ use opendesc_ebpf::xdp::ctx_off;
 
 /// Emit the bounds-checked prologue: leaves the metadata pointer in `R2`
 /// and branches to `short_label` when the record is shorter than
-/// `completion_bytes`.
-fn prologue(a: &mut Asm, completion_bytes: u32, short_label: &str) {
+/// `completion_bytes`. Shared with the plan lowering's window programs
+/// ([`crate::lower`]), so both prove bounds with the same instructions.
+pub(crate) fn prologue(a: &mut Asm, completion_bytes: u32, short_label: &str) {
     a.ldx(size::DW, reg::R2, reg::R1, ctx_off::META)
         .ldx(size::DW, reg::R3, reg::R1, ctx_off::META_END)
         .mov64_reg(reg::R4, reg::R2)
         .alu64_imm(alu::ADD, reg::R4, completion_bytes as i32)
         .jmp_reg(jmp::JGT, reg::R4, reg::R3, short_label);
+}
+
+/// Emit big-endian accumulation of metadata bytes `[lo, hi)` (at most
+/// 8) into `R0` (metadata pointer in `R2`, scratch `R5`).
+pub(crate) fn load_bytes_be(a: &mut Asm, lo: u32, hi: u32) {
+    a.mov64_imm(reg::R0, 0);
+    for i in lo..hi {
+        a.alu64_imm(alu::LSH, reg::R0, 8)
+            .ldx(size::B, reg::R5, reg::R2, i as i16)
+            .alu64_reg(alu::OR, reg::R0, reg::R5);
+    }
 }
 
 /// Emit code loading the accessor's field into `R0` (metadata pointer in
@@ -45,12 +57,7 @@ fn load_field(a: &mut Asm, acc: &Accessor) -> Result<(), CodegenError> {
             span_bytes: span,
         });
     }
-    a.mov64_imm(reg::R0, 0);
-    for i in lo..hi {
-        a.alu64_imm(alu::LSH, reg::R0, 8);
-        a.ldx(size::B, reg::R5, reg::R2, i as i16);
-        a.alu64_reg(alu::OR, reg::R0, reg::R5);
-    }
+    load_bytes_be(a, lo, hi);
     let trailing = hi * 8 - (acc.offset_bits + acc.width_bits as u32);
     if trailing > 0 {
         a.alu64_imm(alu::RSH, reg::R0, trailing as i32);

@@ -27,6 +27,10 @@
 //!   that just caught the device lying should not also renegotiate the
 //!   contract. The request is retried at later control boundaries and
 //!   commits once health recovers. `Recovering` does not defer.
+//! * **Only proven plans flip in.** A request whose incoming plan has
+//!   no verifier-accepted lowering is refused outright — counted, with
+//!   the queue left on its current plan and generation — exactly as
+//!   attach refuses it.
 //! * **Roll-forward on watchdog reset.** If the watchdog declares a
 //!   stall *mid-flip*, recovery reprograms the queue onto the **new**
 //!   ring generation instead of re-arming the old one — the flip can be
@@ -68,6 +72,9 @@ pub struct RelayoutCounters {
     /// Watchdog resets mid-flip that rolled the device forward to the
     /// new ring generation.
     pub rolled_forward: u64,
+    /// Requests refused because the incoming plan has no
+    /// verifier-accepted lowering.
+    pub refused: u64,
 }
 
 impl RelayoutCounters {
@@ -79,6 +86,7 @@ impl RelayoutCounters {
         reg.counter(&format!("{scope}.deferred"), self.deferred);
         reg.counter(&format!("{scope}.completed"), self.completed);
         reg.counter(&format!("{scope}.rolled_forward"), self.rolled_forward);
+        reg.counter(&format!("{scope}.refused"), self.refused);
     }
 }
 

@@ -47,7 +47,7 @@ pub use accessor::{Accessor, AccessorKind, AccessorSet};
 pub use baseline::{GenericMbuf, GenericMbufDriver, LcdDriver};
 pub use cache::{CompiledRx, PlanCache};
 pub use compiler::{CompileError, CompiledInterface, Compiler};
-pub use datapath::{OpenDescDriver, RxBatch, RxPacket};
+pub use datapath::{AttachError, OpenDescDriver, RxBatch, RxPacket};
 pub use equiv::{capabilities, diff, intent_equivalent, ContractDiff, IntentEquivalence};
 pub use evolve::{
     EvolveConfig, FlipProgress, FlipRecord, RelayoutCounters, RelayoutOutcome, RelayoutRequest,

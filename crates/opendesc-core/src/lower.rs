@@ -20,11 +20,12 @@
 //! performs, not a parallel reimplementation.
 
 use crate::accessor::{Accessor, AccessorSet};
+use crate::codegen::ebpf;
 use crate::plan::RxPlan;
 use crate::vm::{op, shim_code, BcInsn, PlanProgram};
 use opendesc_ebpf::asm::{reg, Asm};
-use opendesc_ebpf::insn::{alu, jmp, size, Insn};
-use opendesc_ebpf::xdp::{ctx_off, XdpContext};
+use opendesc_ebpf::insn::Insn;
+use opendesc_ebpf::xdp::XdpContext;
 use opendesc_ebpf::{Vm, VmError};
 use opendesc_ir::bits::width_mask;
 use std::fmt;
@@ -122,22 +123,16 @@ pub struct LoweredPlan {
     pub verifier_states: u64,
 }
 
-/// Emit one window program: the canonical bounds-check prologue for the
-/// whole completion record, then big-endian byte accumulation of
-/// `[start, end)` into r0.
+/// Emit one window program: the eBPF backend's bounds-check prologue
+/// for the whole completion record, then its big-endian byte
+/// accumulation of `[start, end)` into r0 — for a byte-aligned field
+/// of at most 8 bytes, exactly [`gen_accessor_prog`]'s output.
+///
+/// [`gen_accessor_prog`]: crate::codegen::ebpf::gen_accessor_prog
 fn gen_window(completion_bytes: u32, start: u32, end: u32) -> Vec<Insn> {
     let mut a = Asm::new();
-    a.ldx(size::DW, reg::R2, reg::R1, ctx_off::META)
-        .ldx(size::DW, reg::R3, reg::R1, ctx_off::META_END)
-        .mov64_reg(reg::R4, reg::R2)
-        .alu64_imm(alu::ADD, reg::R4, completion_bytes as i32)
-        .jmp_reg(jmp::JGT, reg::R4, reg::R3, "short")
-        .mov64_imm(reg::R0, 0);
-    for i in start..end {
-        a.alu64_imm(alu::LSH, reg::R0, 8)
-            .ldx(size::B, reg::R5, reg::R2, i as i16)
-            .alu64_reg(alu::OR, reg::R0, reg::R5);
-    }
+    ebpf::prologue(&mut a, completion_bytes, "short");
+    ebpf::load_bytes_be(&mut a, start, end);
     a.exit().label("short").mov64_imm(reg::R0, 0).exit();
     a.build()
 }
@@ -405,6 +400,38 @@ mod tests {
             }
             other => panic!("expected Verify rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn windows_of_aligned_fields_equal_the_accessor_programs() {
+        // One bounds-check emitter: a byte-aligned hardware field of at
+        // most 8 bytes lowers to a single window, instruction-identical
+        // to the eBPF backend's standalone accessor program.
+        let mut checked = 0;
+        for model in [
+            models::e1000e(),
+            models::ixgbe(),
+            models::mlx5(),
+            models::qdma_default(),
+        ] {
+            let iface = compiled_for(model);
+            let set = &iface.accessors;
+            let low = lower(set, &iface.plan).unwrap();
+            for f in &low.ebpf {
+                let acc = &set.accessors[f.acc_idx];
+                if !acc.offset_bits.is_multiple_of(8)
+                    || !acc.width_bits.is_multiple_of(8)
+                    || acc.width_bits > 64
+                {
+                    continue;
+                }
+                let want = ebpf::gen_accessor_prog(acc, set.completion_bytes).unwrap();
+                assert_eq!(f.windows.len(), 1, "{} {}", iface.nic_name, f.name);
+                assert_eq!(f.windows[0].prog, want, "{} {}", iface.nic_name, f.name);
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no byte-aligned hardware field was compared");
     }
 
     #[test]

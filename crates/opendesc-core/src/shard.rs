@@ -26,7 +26,7 @@
 
 use crate::cache::{CompiledRx, PlanCache};
 use crate::compiler::CompileError;
-use crate::datapath::{OpenDescDriver, RxBatch};
+use crate::datapath::{AttachError, OpenDescDriver, RxBatch};
 use crate::evolve::{EvolveConfig, FlipProgress, FlipRecord, RelayoutOutcome};
 use crate::intent::Intent;
 use crate::rebalance::{RebalanceConfig, RebalanceStats, Rebalancer};
@@ -75,6 +75,17 @@ impl From<CompileError> for ShardError {
 impl From<NicError> for ShardError {
     fn from(e: NicError) -> Self {
         ShardError::Nic(e)
+    }
+}
+
+/// A refused lowering surfaces as the same compile error the
+/// [`PlanCache`] reports for it.
+impl From<AttachError> for ShardError {
+    fn from(e: AttachError) -> Self {
+        match e {
+            AttachError::Nic(e) => ShardError::Nic(e),
+            AttachError::Lowering(e) => ShardError::Compile(CompileError::Lowering(e.to_string())),
+        }
     }
 }
 
