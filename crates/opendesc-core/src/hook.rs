@@ -10,7 +10,8 @@
 
 use crate::accessor::AccessorSet;
 use crate::compiler::CompiledInterface;
-use crate::datapath::RxPacket;
+use crate::datapath::{AttachError, RxPacket};
+use crate::lower::lower;
 use opendesc_ir::SemanticRegistry;
 use opendesc_nicsim::nic::{NicError, SimNic};
 use opendesc_softnic::SoftNic;
@@ -47,8 +48,12 @@ impl<F> HookDriver<F>
 where
     F: FnMut(&[u8], &[u8], &AccessorSet, &SemanticRegistry) -> HookVerdict,
 {
-    /// Attach, programming the compiled context.
-    pub fn attach(mut nic: SimNic, iface: CompiledInterface, hook: F) -> Result<Self, NicError> {
+    /// Attach, programming the compiled context. Like
+    /// [`OpenDescDriver::attach`](crate::datapath::OpenDescDriver::attach),
+    /// refuses a plan the eBPF verifier rejects with
+    /// [`AttachError::Lowering`] before the device is touched.
+    pub fn attach(mut nic: SimNic, iface: CompiledInterface, hook: F) -> Result<Self, AttachError> {
+        lower(&iface.accessors, &iface.plan).map_err(AttachError::Lowering)?;
         if let Some(ctx) = &iface.context {
             nic.configure(ctx.clone())?;
         }
@@ -103,6 +108,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accessor::{Accessor, AccessorKind};
     use crate::compiler::Compiler;
     use crate::intent::Intent;
     use opendesc_ir::names;
@@ -171,6 +177,29 @@ mod tests {
         }
         for _ in 0..20 {
             assert_eq!(hook_drv.poll().unwrap().meta, plain.poll().unwrap().meta);
+        }
+    }
+
+    #[test]
+    fn attach_refuses_a_plan_the_verifier_rejected() {
+        let (mut iface, _) = compiled();
+        let bound = iface.accessors.completion_bytes;
+        let acc = iface
+            .accessors
+            .accessors
+            .iter_mut()
+            .find(|a| a.kind == AccessorKind::Hardware)
+            .expect("mlx5 serves a field from hardware");
+        *acc = Accessor::hardware(acc.semantic, "liar", (bound + 8) * 8, acc.width_bits);
+        let nic = SimNic::new(models::mlx5(), 64).unwrap();
+        match HookDriver::attach(nic, iface, |_, _, _, _| HookVerdict::Pass) {
+            Err(AttachError::Lowering(e)) => {
+                let msg = e.to_string();
+                assert!(msg.contains("liar#w0"), "{msg}");
+                assert!(msg.contains("exceeds proven bound"), "{msg}");
+            }
+            Err(other) => panic!("expected a lowering refusal, got {other}"),
+            Ok(_) => panic!("an unverified plan was attached"),
         }
     }
 
