@@ -200,7 +200,10 @@ impl From<NicError> for AttachError {
 /// The compiled interface is held through a shared immutable
 /// [`CompiledRx`]: N queues attached with the same artifact hold one
 /// compilation, not N copies (`iface` still reads like a
-/// `CompiledInterface` via `Deref`).
+/// `CompiledInterface` via `Deref`). Polling *borrows* it: the shared
+/// `Arc`'s refcount moves only at attach and at a relayout request or
+/// commit, never per poll, so queues on different cores write no
+/// common cache line.
 ///
 /// The driver distrusts the device's *behavior*, not just its layout
 /// (see [`crate::robust`]): completions pass sequence and length
@@ -211,16 +214,10 @@ impl From<NicError> for AttachError {
 pub struct OpenDescDriver {
     pub nic: SimNic,
     pub iface: Arc<CompiledRx>,
-    soft: SoftNic,
-    mode: ValidationMode,
-    seq: SeqTracker,
-    vstats: ValidationStats,
-    health: HealthState,
-    watchdog: Watchdog,
-    /// Per-queue instruments: poll-cycle histograms, field-source mix,
-    /// and the trace ring. Driver-owned, so hot-path updates need no
-    /// synchronization; disabled it costs one branch per hook.
-    tel: QueueTelemetry,
+    /// Everything the per-packet path mutates besides the device. A
+    /// field apart from `iface`, so a poll holds `&mut` to it next to a
+    /// shared borrow of the plan.
+    state: QueueState,
     /// Recycled completion-record storage for the per-packet [`poll`]
     /// path (`receive_into_hinted` clears and refills it), so a
     /// steady-state poll loop stops allocating for completions.
@@ -245,6 +242,24 @@ pub struct OpenDescDriver {
     device_rolled: bool,
     /// Relayout lifecycle counters (`{scope}.relayout.*`).
     evolve: RelayoutCounters,
+}
+
+/// The driver's per-queue mutable state. The admission and serve
+/// helpers are its methods and take the running plan as an argument,
+/// so the hot path borrows `OpenDescDriver::iface` instead of cloning
+/// the `Arc`: a clone and drop per poll are two atomic read-modify-
+/// writes on a line every queue sharing the artifact also writes.
+struct QueueState {
+    soft: SoftNic,
+    mode: ValidationMode,
+    seq: SeqTracker,
+    vstats: ValidationStats,
+    health: HealthState,
+    watchdog: Watchdog,
+    /// Per-queue instruments: poll-cycle histograms, field-source mix,
+    /// and the trace ring. Driver-owned, so hot-path updates need no
+    /// synchronization; disabled it costs one branch per hook.
+    tel: QueueTelemetry,
 }
 
 /// Driver-internal relayout state. The held `Arc` is the incoming
@@ -281,13 +296,15 @@ impl OpenDescDriver {
         Ok(OpenDescDriver {
             nic,
             iface,
-            soft: SoftNic::new(),
-            mode: ValidationMode::default(),
-            seq: SeqTracker::default(),
-            vstats: ValidationStats::default(),
-            health: HealthState::default(),
-            watchdog: Watchdog::default(),
-            tel: QueueTelemetry::default(),
+            state: QueueState {
+                soft: SoftNic::new(),
+                mode: ValidationMode::default(),
+                seq: SeqTracker::default(),
+                vstats: ValidationStats::default(),
+                health: HealthState::default(),
+                watchdog: Watchdog::default(),
+                tel: QueueTelemetry::default(),
+            },
             scratch_cmpt: Vec::new(),
             scratch_values: Vec::new(),
             flip: FlipState::Idle,
@@ -300,8 +317,10 @@ impl OpenDescDriver {
     /// Wire-side: deliver a frame into the NIC. Feeds the watchdog's
     /// outstanding-work counter.
     pub fn deliver(&mut self, frame: &[u8]) -> Result<(), NicError> {
-        self.watchdog.note_fed(1);
-        self.tel.event(TraceKind::Doorbell, frame.len() as u64, 0);
+        self.state.watchdog.note_fed(1);
+        self.state
+            .tel
+            .event(TraceKind::Doorbell, frame.len() as u64, 0);
         self.nic.deliver(frame)
     }
 
@@ -314,39 +333,41 @@ impl OpenDescDriver {
         parsed: Option<&ParsedFrame<'_>>,
         rss_hint: Option<u32>,
     ) -> Result<(), NicError> {
-        self.watchdog.note_fed(1);
-        self.tel.event(TraceKind::Doorbell, frame.len() as u64, 0);
+        self.state.watchdog.note_fed(1);
+        self.state
+            .tel
+            .event(TraceKind::Doorbell, frame.len() as u64, 0);
         self.nic.deliver_steered(frame, parsed, rss_hint)
     }
 
     /// How strictly hardware fields are validated (default:
     /// [`ValidationMode::Structural`]).
     pub fn validation_mode(&self) -> ValidationMode {
-        self.mode
+        self.state.mode
     }
 
     pub fn set_validation_mode(&mut self, mode: ValidationMode) {
-        self.mode = mode;
+        self.state.mode = mode;
     }
 
     /// Current queue health.
     pub fn health(&self) -> QueueHealth {
-        self.health.health()
+        self.state.health.health()
     }
 
     /// Health-machine transitions taken so far.
     pub fn health_transitions(&self) -> u64 {
-        self.health.transitions
+        self.state.health.transitions
     }
 
     /// Cumulative validation counters.
     pub fn validation_stats(&self) -> ValidationStats {
-        self.vstats
+        self.state.vstats
     }
 
     /// Ring resets the watchdog has requested.
     pub fn watchdog_resets(&self) -> u64 {
-        self.watchdog.resets
+        self.state.watchdog.resets
     }
 
     /// Frames fed to this queue but not yet observed by a poll — the
@@ -355,36 +376,36 @@ impl OpenDescDriver {
     /// under-report). Zero means the queue has *quiesced*, which is the
     /// rebalancer's precondition for migrating a bucket off it.
     pub fn in_flight(&self) -> u64 {
-        self.watchdog.outstanding()
+        self.state.watchdog.outstanding()
     }
 
     pub fn set_health_config(&mut self, cfg: HealthConfig) {
-        self.health = HealthState::with_config(cfg);
+        self.state.health = HealthState::with_config(cfg);
     }
 
     pub fn set_watchdog_config(&mut self, cfg: WatchdogConfig) {
-        self.watchdog = Watchdog::with_config(cfg);
+        self.state.watchdog = Watchdog::with_config(cfg);
     }
 
     /// This queue's telemetry instruments (histograms, field mix, trace
     /// ring).
     pub fn telemetry(&self) -> &QueueTelemetry {
-        &self.tel
+        &self.state.tel
     }
 
     pub fn telemetry_mut(&mut self) -> &mut QueueTelemetry {
-        &mut self.tel
+        &mut self.state.tel
     }
 
     /// Turn hot-path instrumentation on/off (the E15 on/off arms).
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
-        self.tel.set_enabled(enabled);
+        self.state.tel.set_enabled(enabled);
     }
 
     /// Tag this driver's telemetry with its queue index (trace-event
     /// attribution; the sharded engine sets it at worker construction).
     pub fn set_queue_index(&mut self, queue: u16) {
-        self.tel.set_queue(queue);
+        self.state.tel.set_queue(queue);
     }
 
     /// Register everything this driver can see into `reg` under `scope`
@@ -393,10 +414,12 @@ impl OpenDescDriver {
     /// SoftNIC engine — the existing struct APIs become named views in
     /// one registry.
     pub fn register_metrics(&self, reg: &mut MetricRegistry, scope: &str) {
-        self.tel.register_into(reg, scope);
-        self.vstats
+        self.state.tel.register_into(reg, scope);
+        self.state
+            .vstats
             .register_into(reg, &format!("{scope}.validation"));
-        self.watchdog
+        self.state
+            .watchdog
             .register_into(reg, &format!("{scope}.watchdog"));
         reg.gauge(
             &format!("{scope}.health"),
@@ -404,10 +427,12 @@ impl OpenDescDriver {
         );
         reg.counter(
             &format!("{scope}.health_transitions"),
-            self.health.transitions,
+            self.state.health.transitions,
         );
         self.nic.register_metrics(reg, &format!("{scope}.nic"));
-        self.soft.register_metrics(reg, &format!("{scope}.softnic"));
+        self.state
+            .soft
+            .register_metrics(reg, &format!("{scope}.softnic"));
         self.evolve.register_into(reg, &format!("{scope}.relayout"));
         reg.counter(&format!("{scope}.plan_generation"), self.generation);
     }
@@ -431,7 +456,7 @@ impl OpenDescDriver {
                 if let Ok(stranded) = self.nic.reprogram_queue(new.context.clone()) {
                     self.device_rolled = true;
                     self.evolve.rolled_forward += 1;
-                    self.tel.event(
+                    self.state.tel.event(
                         TraceKind::RelayoutRolledForward,
                         self.generation + 1,
                         stranded as u64,
@@ -443,9 +468,10 @@ impl OpenDescDriver {
         if !rolled {
             self.nic.reset_queue();
         }
-        self.health.on_fault();
-        self.tel
-            .event(TraceKind::WatchdogReset, self.watchdog.resets, 0);
+        self.state.health.on_fault();
+        self.state
+            .tel
+            .event(TraceKind::WatchdogReset, self.state.watchdog.resets, 0);
     }
 
     /// Plan generation this queue runs (bumped per committed flip).
@@ -492,7 +518,7 @@ impl OpenDescDriver {
         if self.health() == QueueHealth::Degraded {
             if !matches!(self.flip, FlipState::Deferred(_)) {
                 self.evolve.deferred += 1;
-                self.tel.event(
+                self.state.tel.event(
                     TraceKind::RelayoutDeferred,
                     self.generation + 1,
                     health_rank(self.health()),
@@ -543,7 +569,7 @@ impl OpenDescDriver {
     /// the flip is draining.
     pub fn force_relayout(&mut self, polls_spent: u64) -> FlipProgress {
         if matches!(self.flip, FlipState::Draining(_)) {
-            self.watchdog.forgive_outstanding();
+            self.state.watchdog.forgive_outstanding();
             self.commit_relayout(polls_spent)
         } else {
             self.advance_relayout(polls_spent)
@@ -570,11 +596,345 @@ impl OpenDescDriver {
         self.iface = new;
         self.generation += 1;
         self.evolve.completed += 1;
-        self.tel
+        self.state
+            .tel
             .event(TraceKind::RelayoutCompleted, self.generation, polls_spent);
         FlipProgress::Committed(self.generation)
     }
 
+    /// Execute one admitted packet into `values`, applying the
+    /// mode/health disposition and structural checks; updates
+    /// validation stats and health. A `short` (truncated) record is
+    /// served degraded: its completion is never read.
+    ///
+    /// Every disposition runs the lowered, verifier-accepted bytecode
+    /// ([`crate::vm`]); attach and relayout refuse plans without one.
+    fn execute_checked(
+        &mut self,
+        frame: &[u8],
+        cmpt: &[u8],
+        rss_hint: Option<u32>,
+        short: bool,
+        values: &mut [Option<u128>],
+    ) {
+        let iface = &*self.iface;
+        let st = &mut self.state;
+        let prog = program(iface);
+        let disposition = st.disposition();
+        if short || disposition != Disposition::Trusted {
+            let verified = disposition == Disposition::Verified;
+            if st.serve_checked_at(prog, verified, short, frame, cmpt, values, 1, 0) {
+                st.tel.event(TraceKind::DegradedServe, 1, 0);
+            }
+            return;
+        }
+        prog.run_trusted(&mut st.soft, frame, cmpt, rss_hint, values);
+        if st.tel.enabled() {
+            st.tel.fields_hw += prog.hw_len as u64;
+            st.tel.fields_sw += prog.sw_insns().len() as u64;
+        }
+        if st.mode == ValidationMode::Off {
+            return;
+        }
+        let (fail, proven) = iface
+            .validator()
+            .check_values_all(frame.len(), |i| values[i]);
+        if fail.is_some() {
+            let keep = proven | iface.plan.keep_sw_mask(rss_hint.is_some());
+            st.reserve_failed_at(prog, keep, frame, values, 1, 0);
+        } else {
+            st.health.on_clean();
+        }
+        st.vstats.accepted += 1;
+    }
+
+    /// Host-side: poll one packet with its requested metadata.
+    ///
+    /// Runs the full admission pipeline: duplicated/stale completions
+    /// are discarded (the loop keeps polling), truncated or failing
+    /// completions are re-served through degraded execution, and an
+    /// empty poll with work outstanding feeds the watchdog — when it
+    /// trips, the ring is reset/re-armed and polling retries once.
+    pub fn poll(&mut self) -> Option<RxPacket> {
+        let before = self.health();
+        let r = self.poll_inner();
+        self.note_health_transition(before);
+        r
+    }
+
+    fn poll_inner(&mut self) -> Option<RxPacket> {
+        // Frames move into the returned packet, so their storage is
+        // per-call; completion and values scratch recycle across polls.
+        let mut frame = Vec::new();
+        let mut cmpt = std::mem::take(&mut self.scratch_cmpt);
+        let mut values = std::mem::take(&mut self.scratch_values);
+        let expected_len = self.iface.validator().expected_len;
+        let result = loop {
+            let Some((side, short)) =
+                self.state
+                    .next_admitted(&mut self.nic, &mut frame, &mut cmpt, expected_len)
+            else {
+                if self.state.watchdog.observe_empty() {
+                    self.recover();
+                    continue;
+                }
+                break None;
+            };
+            self.state.tel.event(TraceKind::Writeback, side.seq, 0);
+            values.clear();
+            values.resize(self.iface.plan.steps.len(), None);
+            self.execute_checked(&frame, &cmpt, side.rss_hint, short, &mut values);
+            let meta = self
+                .iface
+                .accessors
+                .accessors
+                .iter()
+                .zip(values.iter())
+                .map(|(a, v)| (a.semantic, *v))
+                .collect();
+            break Some(RxPacket {
+                frame: std::mem::take(&mut frame),
+                meta,
+            });
+        };
+        self.scratch_cmpt = cmpt;
+        self.scratch_values = values;
+        result
+    }
+
+    /// Poll up to `n` packets.
+    pub fn poll_batch(&mut self, n: usize) -> Vec<RxPacket> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            match self.poll() {
+                Some(p) => out.push(p),
+                None => break,
+            }
+        }
+        out
+    }
+
+    /// Batch storage sized for this interface, holding up to `cap`
+    /// packets. Create once, then refill with [`poll_batch_into`].
+    ///
+    /// [`poll_batch_into`]: OpenDescDriver::poll_batch_into
+    pub fn make_batch(&self, cap: usize) -> RxBatch {
+        RxBatch::new(&self.iface, cap)
+    }
+
+    /// Zero-allocation batched poll: drain up to `batch.capacity()`
+    /// pending packets into recycled storage, then fill the metadata
+    /// columns — hardware fields one bytecode load per column, software
+    /// fields via the compiled shim stream (one parse per packet,
+    /// memoized intra-packet repeats). Returns the number of packets
+    /// received.
+    ///
+    /// Runs the same admission step as [`poll`] (sequence discard,
+    /// truncation guard), then the mode/health disposition and the
+    /// watchdog, and produces bit-identical metadata to calling
+    /// [`poll`] per packet.
+    ///
+    /// [`poll`]: OpenDescDriver::poll
+    pub fn poll_batch_into(&mut self, batch: &mut RxBatch) -> usize {
+        assert_eq!(
+            batch.sems.len(),
+            self.iface.accessors.accessors.len(),
+            "batch was built for a different interface"
+        );
+        // Telemetry discipline: a handful of integer histogram records
+        // per *batch* (not per packet), skipped entirely when disabled.
+        // Even the two `Instant` reads are too hot for every cycle at
+        // ~1µs/batch, so the poll-cost clock is sampled 1-in-2^k cycles
+        // (`sample_clock`) — the ≤3% E15 overhead budget.
+        let instrument = self.state.tel.enabled();
+        let (t0, occupancy, health_before) = if instrument {
+            let t0 = self.state.tel.sample_clock().then(Instant::now);
+            (t0, self.nic.pending_completions() as u64, self.health())
+        } else {
+            (None, 0, self.health())
+        };
+        let mut n = self.drain_batch(batch);
+        if n == 0 && self.state.watchdog.observe_empty() {
+            // Stall declared: reset/re-arm and retry once — the re-arm
+            // republishes completions a lost doorbell was hiding.
+            self.recover();
+            n = self.drain_batch(batch);
+        }
+        if n > 0 {
+            self.fill_batch(batch);
+        }
+        if instrument {
+            let tel = &mut self.state.tel;
+            if let Some(t0) = t0 {
+                tel.poll_ns.record(t0.elapsed().as_nanos() as u64);
+            }
+            tel.ring_occupancy.record(occupancy);
+            if n > 0 {
+                tel.batch_fill_permille
+                    .record((n * 1000 / batch.cap.max(1)) as u64);
+                tel.trace
+                    .record(TraceKind::BatchPolled, n as u64, occupancy);
+            }
+            self.note_health_transition(health_before);
+        }
+        n
+    }
+
+    /// Record a health-machine move since `before`, if any, into the
+    /// trace ring (operands are severity ranks: 0 = Healthy,
+    /// 1 = Recovering, 2 = Degraded).
+    fn note_health_transition(&mut self, before: QueueHealth) {
+        let after = self.health();
+        if after != before {
+            self.state.tel.event(
+                TraceKind::HealthTransition,
+                health_rank(before),
+                health_rank(after),
+            );
+        }
+    }
+
+    /// Drain the rings into recycled frame/completion storage through
+    /// the admission step, keeping each packet's steering sideband and
+    /// truncation flag alongside it.
+    fn drain_batch(&mut self, batch: &mut RxBatch) -> usize {
+        let expected_len = self.iface.validator().expected_len;
+        let mut n = 0;
+        while n < batch.cap {
+            let Some((side, short)) = self.state.next_admitted(
+                &mut self.nic,
+                &mut batch.frames[n],
+                &mut batch.cmpts[n],
+                expected_len,
+            ) else {
+                break;
+            };
+            batch.hints[n] = side.rss_hint;
+            batch.short[n] = short;
+            n += 1;
+        }
+        batch.len = n;
+        n
+    }
+
+    /// Fill the metadata columns of a drained batch. The disposition is
+    /// chosen once from the health at entry; structural failures inside
+    /// the batch re-serve that packet degraded and demote health for the
+    /// *next* batch.
+    ///
+    /// All three dispositions execute the plan's verified
+    /// [`PlanProgram`]. `Degraded` and `Verified` batches run the
+    /// per-packet path's [`serve_checked_at`] on column-major storage;
+    /// a `Trusted` batch keeps its own loops — hardware fields run one
+    /// *instruction* across the whole batch ([`vm::load_column`]),
+    /// amortizing dispatch to once per field per batch, then the shim
+    /// loop, then the structural checks.
+    ///
+    /// [`serve_checked_at`]: QueueState::serve_checked_at
+    fn fill_batch(&mut self, batch: &mut RxBatch) {
+        let iface = &*self.iface;
+        let st = &mut self.state;
+        let prog = program(iface);
+        let n = batch.len;
+        let cap = batch.cap;
+        let disposition = st.disposition();
+        if disposition != Disposition::Trusted {
+            let verified = disposition == Disposition::Verified;
+            let mut degraded = 0u64;
+            for pkt in 0..n {
+                degraded += u64::from(st.serve_checked_at(
+                    prog,
+                    verified,
+                    batch.short[pkt],
+                    &batch.frames[pkt],
+                    &batch.cmpts[pkt],
+                    &mut batch.meta,
+                    cap,
+                    pkt,
+                ));
+            }
+            // One summary event per batch: a record per packet would
+            // flush the trace ring's fault history in a Degraded spell.
+            if degraded > 0 {
+                st.tel.event(TraceKind::DegradedServe, degraded, 0);
+            }
+            return;
+        }
+        let any_short = batch.short[..n].iter().any(|s| *s);
+        // Hardware fields: one column at a time across the whole batch;
+        // truncated records are skipped (`None`) and re-served below.
+        for insn in prog.hw_insns() {
+            let base = insn.dst as usize * cap;
+            if any_short {
+                for pkt in 0..n {
+                    batch.meta[base + pkt] = if batch.short[pkt] {
+                        None
+                    } else {
+                        Some(vm::exec_load(insn, &batch.cmpts[pkt]))
+                    };
+                }
+            } else {
+                vm::load_column(insn, &batch.cmpts[..n], &mut batch.meta[base..base + n]);
+            }
+        }
+        // Software fields: parse each frame once, share it across shims;
+        // a device-reported hash primes the memo so software RSS steps
+        // are lookups, not Toeplitz runs.
+        if prog.needs_parse() {
+            for pkt in 0..n {
+                if batch.short[pkt] {
+                    continue;
+                }
+                let frame = &batch.frames[pkt];
+                let parsed = ParsedFrame::parse(frame);
+                let mut memo = ShimMemo::default();
+                if let Some(h) = batch.hints[pkt] {
+                    memo.prime_rss(h);
+                }
+                for insn in prog.sw_insns() {
+                    batch.meta[insn.dst as usize * cap + pkt] =
+                        vm::exec_shim(&mut st.soft, insn, parsed.as_ref(), frame.len(), &mut memo);
+                }
+            }
+        }
+        if st.tel.enabled() {
+            let served = (n - batch.short[..n].iter().filter(|s| **s).count()) as u64;
+            st.tel.fields_hw += served * prog.hw_len as u64;
+            st.tel.fields_sw += served * prog.sw_insns().len() as u64;
+        }
+        if st.mode == ValidationMode::Off {
+            return;
+        }
+        let spec = iface.validator();
+        for pkt in 0..n {
+            if batch.short[pkt] {
+                st.serve_checked_at(
+                    prog,
+                    false,
+                    true,
+                    &batch.frames[pkt],
+                    &[],
+                    &mut batch.meta,
+                    cap,
+                    pkt,
+                );
+                st.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
+                continue;
+            }
+            let frame_len = batch.frames[pkt].len();
+            let (fail, proven) = spec.check_values_all(frame_len, |i| batch.meta[i * cap + pkt]);
+            if fail.is_some() {
+                let keep = proven | iface.plan.keep_sw_mask(batch.hints[pkt].is_some());
+                st.reserve_failed_at(prog, keep, &batch.frames[pkt], &mut batch.meta, cap, pkt);
+            } else {
+                st.health.on_clean();
+            }
+            st.vstats.accepted += 1;
+        }
+    }
+}
+
+impl QueueState {
     /// Admit one consumed completion's sequence tag, updating the
     /// watchdog's ledger (a replay proves liveness but consumed no fed
     /// frame, so it must not mask hidden completions as progress).
@@ -640,12 +1000,13 @@ impl OpenDescDriver {
     #[inline(always)]
     fn next_admitted(
         &mut self,
+        nic: &mut SimNic,
         frame: &mut Vec<u8>,
         cmpt: &mut Vec<u8>,
         expected_len: usize,
     ) -> Option<(RxSideband, bool)> {
         loop {
-            let side = self.nic.receive_into_hinted(frame, cmpt)?;
+            let side = nic.receive_into_hinted(frame, cmpt)?;
             if !self.admit_seq(side.seq) {
                 continue;
             }
@@ -658,51 +1019,6 @@ impl OpenDescDriver {
             }
             return Some((side, short));
         }
-    }
-
-    /// Execute one admitted packet into `values`, applying the
-    /// mode/health disposition and structural checks; updates
-    /// validation stats and health. A `short` (truncated) record is
-    /// served degraded: its completion is never read.
-    ///
-    /// Every disposition runs the lowered, verifier-accepted bytecode
-    /// ([`crate::vm`]); attach and relayout refuse plans without one.
-    fn execute_checked(
-        &mut self,
-        frame: &[u8],
-        cmpt: &[u8],
-        rss_hint: Option<u32>,
-        short: bool,
-        values: &mut [Option<u128>],
-    ) {
-        let iface = Arc::clone(&self.iface);
-        let prog = program(&iface);
-        let disposition = self.disposition();
-        if short || disposition != Disposition::Trusted {
-            let verified = disposition == Disposition::Verified;
-            if self.serve_checked_at(prog, verified, short, frame, cmpt, values, 1, 0) {
-                self.tel.event(TraceKind::DegradedServe, 1, 0);
-            }
-            return;
-        }
-        prog.run_trusted(&mut self.soft, frame, cmpt, rss_hint, values);
-        if self.tel.enabled() {
-            self.tel.fields_hw += prog.hw_len as u64;
-            self.tel.fields_sw += prog.sw_insns().len() as u64;
-        }
-        if self.mode == ValidationMode::Off {
-            return;
-        }
-        let (fail, proven) = iface
-            .validator()
-            .check_values_all(frame.len(), |i| values[i]);
-        if fail.is_some() {
-            let keep = proven | iface.plan.keep_sw_mask(rss_hint.is_some());
-            self.reserve_failed_at(prog, keep, frame, values, 1, 0);
-        } else {
-            self.health.on_clean();
-        }
-        self.vstats.accepted += 1;
     }
 
     /// Serve one packet off the trusted path into
@@ -782,291 +1098,6 @@ impl OpenDescDriver {
         if self.tel.enabled() {
             self.tel.fields_sw += prog.degraded.len() as u64;
             self.tel.event(TraceKind::DegradedServe, 1, idx as u64);
-        }
-    }
-
-    /// Host-side: poll one packet with its requested metadata.
-    ///
-    /// Runs the full admission pipeline: duplicated/stale completions
-    /// are discarded (the loop keeps polling), truncated or failing
-    /// completions are re-served through degraded execution, and an
-    /// empty poll with work outstanding feeds the watchdog — when it
-    /// trips, the ring is reset/re-armed and polling retries once.
-    pub fn poll(&mut self) -> Option<RxPacket> {
-        let before = self.health();
-        let r = self.poll_inner();
-        self.note_health_transition(before);
-        r
-    }
-
-    fn poll_inner(&mut self) -> Option<RxPacket> {
-        // Frames move into the returned packet, so their storage is
-        // per-call; completion and values scratch recycle across polls.
-        let mut frame = Vec::new();
-        let mut cmpt = std::mem::take(&mut self.scratch_cmpt);
-        let mut values = std::mem::take(&mut self.scratch_values);
-        let expected_len = self.iface.validator().expected_len;
-        let result = loop {
-            let Some((side, short)) = self.next_admitted(&mut frame, &mut cmpt, expected_len)
-            else {
-                if self.watchdog.observe_empty() {
-                    self.recover();
-                    continue;
-                }
-                break None;
-            };
-            self.tel.event(TraceKind::Writeback, side.seq, 0);
-            values.clear();
-            values.resize(self.iface.plan.steps.len(), None);
-            self.execute_checked(&frame, &cmpt, side.rss_hint, short, &mut values);
-            let meta = self
-                .iface
-                .accessors
-                .accessors
-                .iter()
-                .zip(values.iter())
-                .map(|(a, v)| (a.semantic, *v))
-                .collect();
-            break Some(RxPacket {
-                frame: std::mem::take(&mut frame),
-                meta,
-            });
-        };
-        self.scratch_cmpt = cmpt;
-        self.scratch_values = values;
-        result
-    }
-
-    /// Poll up to `n` packets.
-    pub fn poll_batch(&mut self, n: usize) -> Vec<RxPacket> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.poll() {
-                Some(p) => out.push(p),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Batch storage sized for this interface, holding up to `cap`
-    /// packets. Create once, then refill with [`poll_batch_into`].
-    ///
-    /// [`poll_batch_into`]: OpenDescDriver::poll_batch_into
-    pub fn make_batch(&self, cap: usize) -> RxBatch {
-        RxBatch::new(&self.iface, cap)
-    }
-
-    /// Zero-allocation batched poll: drain up to `batch.capacity()`
-    /// pending packets into recycled storage, then fill the metadata
-    /// columns — hardware fields one bytecode load per column, software
-    /// fields via the compiled shim stream (one parse per packet,
-    /// memoized intra-packet repeats). Returns the number of packets
-    /// received.
-    ///
-    /// Runs the same admission step as [`poll`] (sequence discard,
-    /// truncation guard), then the mode/health disposition and the
-    /// watchdog, and produces bit-identical metadata to calling
-    /// [`poll`] per packet.
-    ///
-    /// [`poll`]: OpenDescDriver::poll
-    pub fn poll_batch_into(&mut self, batch: &mut RxBatch) -> usize {
-        assert_eq!(
-            batch.sems.len(),
-            self.iface.accessors.accessors.len(),
-            "batch was built for a different interface"
-        );
-        // Telemetry discipline: a handful of integer histogram records
-        // per *batch* (not per packet), skipped entirely when disabled.
-        // Even the two `Instant` reads are too hot for every cycle at
-        // ~1µs/batch, so the poll-cost clock is sampled 1-in-2^k cycles
-        // (`sample_clock`) — the ≤3% E15 overhead budget.
-        let instrument = self.tel.enabled();
-        let (t0, occupancy, health_before) = if instrument {
-            let t0 = self.tel.sample_clock().then(Instant::now);
-            (t0, self.nic.pending_completions() as u64, self.health())
-        } else {
-            (None, 0, self.health())
-        };
-        let mut n = self.drain_batch(batch);
-        if n == 0 && self.watchdog.observe_empty() {
-            // Stall declared: reset/re-arm and retry once — the re-arm
-            // republishes completions a lost doorbell was hiding.
-            self.recover();
-            n = self.drain_batch(batch);
-        }
-        if n > 0 {
-            self.fill_batch(batch);
-        }
-        if instrument {
-            if let Some(t0) = t0 {
-                self.tel.poll_ns.record(t0.elapsed().as_nanos() as u64);
-            }
-            self.tel.ring_occupancy.record(occupancy);
-            if n > 0 {
-                self.tel
-                    .batch_fill_permille
-                    .record((n * 1000 / batch.cap.max(1)) as u64);
-                self.tel
-                    .trace
-                    .record(TraceKind::BatchPolled, n as u64, occupancy);
-            }
-            self.note_health_transition(health_before);
-        }
-        n
-    }
-
-    /// Record a health-machine move since `before`, if any, into the
-    /// trace ring (operands are severity ranks: 0 = Healthy,
-    /// 1 = Recovering, 2 = Degraded).
-    fn note_health_transition(&mut self, before: QueueHealth) {
-        let after = self.health();
-        if after != before {
-            self.tel.event(
-                TraceKind::HealthTransition,
-                health_rank(before),
-                health_rank(after),
-            );
-        }
-    }
-
-    /// Drain the rings into recycled frame/completion storage through
-    /// the admission step, keeping each packet's steering sideband and
-    /// truncation flag alongside it.
-    fn drain_batch(&mut self, batch: &mut RxBatch) -> usize {
-        let expected_len = self.iface.validator().expected_len;
-        let mut n = 0;
-        while n < batch.cap {
-            let Some((side, short)) =
-                self.next_admitted(&mut batch.frames[n], &mut batch.cmpts[n], expected_len)
-            else {
-                break;
-            };
-            batch.hints[n] = side.rss_hint;
-            batch.short[n] = short;
-            n += 1;
-        }
-        batch.len = n;
-        n
-    }
-
-    /// Fill the metadata columns of a drained batch. The disposition is
-    /// chosen once from the health at entry; structural failures inside
-    /// the batch re-serve that packet degraded and demote health for the
-    /// *next* batch.
-    ///
-    /// All three dispositions execute the plan's verified
-    /// [`PlanProgram`]. `Degraded` and `Verified` batches run the
-    /// per-packet path's [`serve_checked_at`] on column-major storage;
-    /// a `Trusted` batch keeps its own loops — hardware fields run one
-    /// *instruction* across the whole batch ([`vm::load_column`]),
-    /// amortizing dispatch to once per field per batch, then the shim
-    /// loop, then the structural checks.
-    ///
-    /// [`serve_checked_at`]: OpenDescDriver::serve_checked_at
-    fn fill_batch(&mut self, batch: &mut RxBatch) {
-        let iface = Arc::clone(&self.iface);
-        let prog = program(&iface);
-        let n = batch.len;
-        let cap = batch.cap;
-        let disposition = self.disposition();
-        if disposition != Disposition::Trusted {
-            let verified = disposition == Disposition::Verified;
-            let mut degraded = 0u64;
-            for pkt in 0..n {
-                degraded += u64::from(self.serve_checked_at(
-                    prog,
-                    verified,
-                    batch.short[pkt],
-                    &batch.frames[pkt],
-                    &batch.cmpts[pkt],
-                    &mut batch.meta,
-                    cap,
-                    pkt,
-                ));
-            }
-            // One summary event per batch: a record per packet would
-            // flush the trace ring's fault history in a Degraded spell.
-            if degraded > 0 {
-                self.tel.event(TraceKind::DegradedServe, degraded, 0);
-            }
-            return;
-        }
-        let any_short = batch.short[..n].iter().any(|s| *s);
-        // Hardware fields: one column at a time across the whole batch;
-        // truncated records are skipped (`None`) and re-served below.
-        for insn in prog.hw_insns() {
-            let base = insn.dst as usize * cap;
-            if any_short {
-                for pkt in 0..n {
-                    batch.meta[base + pkt] = if batch.short[pkt] {
-                        None
-                    } else {
-                        Some(vm::exec_load(insn, &batch.cmpts[pkt]))
-                    };
-                }
-            } else {
-                vm::load_column(insn, &batch.cmpts[..n], &mut batch.meta[base..base + n]);
-            }
-        }
-        // Software fields: parse each frame once, share it across shims;
-        // a device-reported hash primes the memo so software RSS steps
-        // are lookups, not Toeplitz runs.
-        if prog.needs_parse() {
-            for pkt in 0..n {
-                if batch.short[pkt] {
-                    continue;
-                }
-                let frame = &batch.frames[pkt];
-                let parsed = ParsedFrame::parse(frame);
-                let mut memo = ShimMemo::default();
-                if let Some(h) = batch.hints[pkt] {
-                    memo.prime_rss(h);
-                }
-                for insn in prog.sw_insns() {
-                    batch.meta[insn.dst as usize * cap + pkt] = vm::exec_shim(
-                        &mut self.soft,
-                        insn,
-                        parsed.as_ref(),
-                        frame.len(),
-                        &mut memo,
-                    );
-                }
-            }
-        }
-        if self.tel.enabled() {
-            let served = (n - batch.short[..n].iter().filter(|s| **s).count()) as u64;
-            self.tel.fields_hw += served * prog.hw_len as u64;
-            self.tel.fields_sw += served * prog.sw_insns().len() as u64;
-        }
-        if self.mode == ValidationMode::Off {
-            return;
-        }
-        let spec = iface.validator();
-        for pkt in 0..n {
-            if batch.short[pkt] {
-                self.serve_checked_at(
-                    prog,
-                    false,
-                    true,
-                    &batch.frames[pkt],
-                    &[],
-                    &mut batch.meta,
-                    cap,
-                    pkt,
-                );
-                self.tel.event(TraceKind::DegradedServe, 1, pkt as u64);
-                continue;
-            }
-            let frame_len = batch.frames[pkt].len();
-            let (fail, proven) = spec.check_values_all(frame_len, |i| batch.meta[i * cap + pkt]);
-            if fail.is_some() {
-                let keep = proven | iface.plan.keep_sw_mask(batch.hints[pkt].is_some());
-                self.reserve_failed_at(prog, keep, &batch.frames[pkt], &mut batch.meta, cap, pkt);
-            } else {
-                self.health.on_clean();
-            }
-            self.vstats.accepted += 1;
         }
     }
 }

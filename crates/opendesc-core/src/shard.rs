@@ -7,10 +7,13 @@
 //! * each [`RxWorker`] *owns* its `SimNic` queue, its `OpenDescDriver`
 //!   (with its private `SoftNic` shim state), and its recycled
 //!   [`RxBatch`] storage — nothing per-packet is shared;
-//! * the compiled artifact is shared read-only as `Arc<CompiledRx>` —
-//!   one compilation serves every queue with the same intent, and the
-//!   §3 different-intents case gives each queue its own artifact from
-//!   the same [`PlanCache`];
+//! * the compiled artifacts are shared read-only as `Arc<CompiledRx>`
+//!   and `Arc<CompiledTxPlan>` — one compilation serves every queue
+//!   with the same intent, and the §3 different-intents case gives each
+//!   queue its own artifact from the same [`PlanCache`]. Poll and submit
+//!   *borrow* them: the shared refcounts move only at attach, at a
+//!   relayout request or commit, and at cache eviction, so no atomic on
+//!   the datapath bounces a line between cores;
 //! * workers report into [`CachePadded`] stat cells they exclusively
 //!   `&mut`-own while their thread runs; the coordinator aggregates the
 //!   cells only after joining — counters never bounce cache lines and
@@ -1494,10 +1497,11 @@ impl ShardedEngine {
 
     /// [`run`](ShardedEngine::run) with whole-batch work stealing: each
     /// worker claims its own pool in drain-batch-sized chunks through a
-    /// per-pool atomic cursor, and once its pool is exhausted it turns
-    /// thief, claiming surplus chunks from its neighbours' cursors and
-    /// processing them with its *own* compiled plan on its *own* queue
-    /// pair.
+    /// per-pool atomic cursor (each on its own cache line, so a thief's
+    /// claim does not slow the owner's), and once its pool is exhausted
+    /// it turns thief, claiming surplus chunks from its neighbours'
+    /// cursors and processing them with its *own* compiled plan on its
+    /// *own* queue pair.
     ///
     /// Memory ordering: the claim is a single `fetch_add(chunk,
     /// Relaxed)` — an atomic RMW, so every chunk index is claimed
@@ -1516,7 +1520,9 @@ impl ShardedEngine {
         assert_eq!(pools.len(), self.workers.len(), "one pool per worker");
         let n = self.workers.len();
         let chunk = self.workers[0].rx.batch.capacity().max(1);
-        let cursors: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let cursors: Vec<CachePadded<AtomicUsize>> = (0..n)
+            .map(|_| CachePadded::new(AtomicUsize::new(0)))
+            .collect();
         let fwd: &ForwardFn = &*self.forward;
         let cells: Vec<(WorkerStats, TxWorkerStats)> = std::thread::scope(|s| {
             let handles: Vec<_> = self

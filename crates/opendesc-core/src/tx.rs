@@ -519,6 +519,11 @@ pub struct TxQueueStats {
 /// handle, reclaiming lazily from the NIC's consumed count — no address
 /// search, no completion queue walk, no locks, no per-send allocation.
 /// The doorbell rings once per batch.
+///
+/// The plan is shared with every queue that attached the same artifact,
+/// and `submit` only borrows it: its refcount moves at `attach` and
+/// `set_plan`, never per batch, so queues on different cores write no
+/// common cache line.
 pub struct TxQueue {
     plan: Arc<CompiledTxPlan>,
     /// Pre-allocated DMA slots, one per ring entry: the address the
@@ -606,7 +611,7 @@ impl TxQueue {
         from: usize,
     ) -> Result<usize, NicError> {
         let free = self.slots.len() as u64 - self.in_flight(nic);
-        let plan = Arc::clone(&self.plan);
+        let plan = &*self.plan;
         let mut placed = 0u64;
         let mut i = from;
         while i < batch.len() && placed < free {

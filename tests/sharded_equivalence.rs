@@ -15,11 +15,18 @@
 //! bit-equivalence — the engine shards *stateless* metadata extraction.
 //!
 //! Also pins the plan cache's determinism: identical `(model, context,
-//! intent)` requests return pointer-equal `Arc<CompiledRx>` artifacts.
+//! intent)` requests return pointer-equal `Arc<CompiledRx>` artifacts,
+//! and the full-duplex engine's threaded round over those shared
+//! artifacts: it must count exactly what the sequential round counts,
+//! and leave each artifact's refcount at one pin per queue plus the
+//! cache's own.
 
-use opendesc::compiler::{Intent, OpenDescDriver, PlanCache, ShardedRx};
+use opendesc::compiler::{
+    ForwardFn, Intent, OpenDescDriver, PlanCache, RxBatch, ShardedEngine, ShardedRx, TxRequest,
+    TxVerdict,
+};
 use opendesc::ir::{names, SemanticRegistry};
-use opendesc::nicsim::{models, NicModel, SimNic, SteerPolicy};
+use opendesc::nicsim::{models, NicModel, ShardedPktGen, SimNic, SteerPolicy, Workload};
 use opendesc::softnic::testpkt;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -183,4 +190,88 @@ fn plan_cache_returns_pointer_equal_artifacts() {
     let (hits, misses) = cache.stats();
     assert_eq!(misses, 2);
     assert_eq!(hits, 2 * (1 + 4));
+}
+
+#[test]
+fn threaded_duplex_over_shared_plans_matches_sequential() {
+    // Every queue borrows the same cached RX and TX artifacts on its own
+    // thread. Per queue, the threaded round must receive, forward, emit
+    // and fix up exactly what the sequential collecting round does on
+    // the same pools, and neither round may leak or drop a plan pin.
+    let queues = 3;
+    let tx_models = models::catalog()
+        .into_iter()
+        .filter(|m| m.desc_parser.is_some());
+    for model in tx_models {
+        let cache = PlanCache::default();
+        let mut reg = SemanticRegistry::with_builtins();
+        let rx_intent = intent(&mut reg);
+        let tx_intent = Intent::builder("sharded-equiv-tx")
+            .want(&mut reg, names::TX_IP_CSUM)
+            .want(&mut reg, names::TX_L4_CSUM)
+            .want(&mut reg, names::TX_VLAN_INSERT)
+            .build();
+        // Drop every fifth frame by length; tag and checksum the rest.
+        let forward: Arc<ForwardFn> = Arc::new(|b: &RxBatch, i: usize, _s: &mut Vec<u8>| {
+            if b.frame(i).len().is_multiple_of(5) {
+                TxVerdict::Drop
+            } else {
+                TxVerdict::Forward(TxRequest {
+                    ip_csum: true,
+                    l4_csum: true,
+                    vlan: Some(7),
+                })
+            }
+        });
+        let mut eng = ShardedEngine::new_uniform(
+            &cache,
+            &model,
+            &rx_intent,
+            &tx_intent,
+            &mut reg,
+            queues,
+            256,
+            SteerPolicy::Rss,
+            8,
+            2048,
+            forward,
+        )
+        .unwrap();
+        let pools = ShardedPktGen::generate(Workload::default(), eng.steerer(), 600).into_pools();
+        let fixups = |eng: &ShardedEngine| -> Vec<u64> {
+            eng.workers()
+                .iter()
+                .map(|w| w.tx_queue().stats.sw_fixups)
+                .collect()
+        };
+        let base = fixups(&eng);
+        let threaded = eng.run(&pools);
+        let mid = fixups(&eng);
+        let (sequential, wires) = eng.run_collect(&pools);
+        let end = fixups(&eng);
+        assert_eq!(threaded.total_rx_packets(), 600, "{}", model.name);
+        for q in 0..queues {
+            let ctx = format!("{} q{q}", model.name);
+            assert_eq!(threaded.rx[q].packets, sequential.rx[q].packets, "{ctx}");
+            assert_eq!(
+                threaded.tx[q].forwarded, sequential.tx[q].forwarded,
+                "{ctx}"
+            );
+            assert_eq!(threaded.tx[q].dropped, sequential.tx[q].dropped, "{ctx}");
+            assert_eq!(
+                threaded.tx[q].wire_frames, sequential.tx[q].wire_frames,
+                "{ctx}"
+            );
+            assert_eq!(sequential.tx[q].wire_frames, wires[q].len() as u64, "{ctx}");
+            assert_eq!(mid[q] - base[q], end[q] - mid[q], "{ctx}: sw_fixups");
+        }
+        let rx = eng.workers()[0].rx.artifact();
+        let tx = eng.workers()[0].tx_queue().plan();
+        for w in eng.workers() {
+            assert!(Arc::ptr_eq(rx, w.rx.artifact()), "{}", model.name);
+            assert!(Arc::ptr_eq(tx, w.tx_queue().plan()), "{}", model.name);
+        }
+        assert_eq!(Arc::strong_count(rx), 1 + queues, "{}: RX pins", model.name);
+        assert_eq!(Arc::strong_count(tx), 1 + queues, "{}: TX pins", model.name);
+    }
 }
